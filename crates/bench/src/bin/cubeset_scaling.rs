@@ -7,7 +7,7 @@
 //! cargo run --release -p presat-bench --bin cubeset_scaling [out.json]
 //! ```
 //!
-//! Two regimes:
+//! Three regimes:
 //!
 //! * `sparse` — wide cubes over 64 variables (width 3–10), so almost every
 //!   insert survives and the store grows linearly with the stream. This is
@@ -18,6 +18,11 @@
 //!   absorption keeps both stores small. The index cannot win much here
 //!   (there is nothing to skip); the record documents that it does not
 //!   *lose* either.
+//! * `minterm` — all 4096 minterms over 12 variables in seeded order, the
+//!   shape blocking all-SAT emits. Every cube mentions every variable, so
+//!   only the phase tells two cubes apart: the regime that checks the
+//!   signatures are literal-keyed (`sig_rejects` must equal
+//!   `subsumption_checks`; `scripts/verify.sh` gates the ratio).
 //!
 //! Before timing anything, every stream is run through both stores once
 //! and the resulting cube sequences asserted identical — the bit-identity
@@ -66,6 +71,14 @@ fn stream(
             out.push(c);
         }
     }
+    out
+}
+
+/// Every minterm over `num_vars` variables, shuffled by `seed`.
+fn minterms(seed: u64, num_vars: usize) -> Vec<Cube> {
+    let vars: Vec<Var> = Var::range(num_vars).collect();
+    let mut out = Cube::top().expand_minterms(&vars);
+    SplitMix64::seed_from_u64(seed).shuffle(&mut out);
     out
 }
 
@@ -135,6 +148,10 @@ fn case(out: &mut JsonObject, label: &str, cubes: &[Cube], samples: usize) -> f6
     } else {
         medians[0] as f64 / medians[1] as f64
     };
+    println!(
+        "{label:<16} speedup {speedup:.2}x  checks {}  sig_rejects {}  candidates {}",
+        stats.subsumption_checks, stats.sig_rejects, stats.index_candidates
+    );
 
     out.begin_object(label);
     out.field_u64("inserts", cubes.len() as u64)
@@ -174,6 +191,11 @@ fn main() {
     o.begin_object("dense");
     let dense = stream(0xDE45, 10_000, 12, 1, 3);
     case(&mut o, "dense_10000", &dense, samples);
+    o.end_object();
+
+    o.begin_object("minterm");
+    let minterm = minterms(0x3141, 12);
+    case(&mut o, "minterm_4096", &minterm, samples);
     o.end_object();
 
     o.field_f64("speedup_at_10000", round3(speedup_at_max));

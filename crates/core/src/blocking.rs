@@ -80,7 +80,9 @@ impl AllSatEngine for BlockingAllSat {
                     sink.record(&Event::BlockingClause {
                         width: minterm.len() as u32,
                     });
-                    cubes.insert(minterm);
+                    // Blocked minterms never repeat, so they are pairwise
+                    // disjoint and the append needs no absorption scan.
+                    cubes.push_disjoint(minterm);
                     if !blocked {
                         // Blocking the last remaining projection point made
                         // the formula unsatisfiable at level 0.

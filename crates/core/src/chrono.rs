@@ -230,7 +230,9 @@ impl AllSatEngine for ChronoAllSat {
                 });
                 let free = (k - cube.len()).min(63) as u32;
                 minterms_emitted = minterms_emitted.saturating_add(1u64 << free);
-                cubes.insert(cube);
+                // Disjoint from every earlier cube (they first differ at a
+                // flipped important decision), so no absorption scan.
+                cubes.push_disjoint(cube);
                 if limits.max_solutions.is_some_and(|max| minterms_emitted >= max) {
                     stopped = Some(StopReason::MaxSolutions);
                     break;

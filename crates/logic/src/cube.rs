@@ -47,16 +47,17 @@ pub struct Cube {
     /// decided by the literal list; `sig` is a pure function of `lits`, so
     /// including it in the derived `PartialEq`/`Hash` changes nothing.
     lits: Vec<Lit>,
-    /// Cached variable-signature mask: bit `v % 64` is set for every
-    /// mentioned variable `v`. Phase-independent, so `a ⊆ b` on literals
-    /// implies `a.sig & !b.sig == 0` — the one-AND subsumption prefilter.
+    /// Cached literal-signature mask: bit `l.code() % 64` is set for every
+    /// literal `l`. Literal-keyed, so `a ⊆ b` on literals implies
+    /// `a.sig & !b.sig == 0` — the one-AND subsumption prefilter — and two
+    /// cubes that differ only in phase set different bits.
     sig: u64,
 }
 
 /// The signature mask of a literal slice (see [`Cube::signature`]).
 fn sig_of(lits: &[Lit]) -> u64 {
     lits.iter()
-        .fold(0u64, |s, l| s | 1u64 << (l.var().index() & 63))
+        .fold(0u64, |s, l| s | 1u64 << (l.code() & 63))
 }
 
 impl Cube {
@@ -111,12 +112,15 @@ impl Cube {
         &self.lits
     }
 
-    /// The cached 64-bit variable-signature mask: bit `v % 64` is set for
-    /// every variable `v` this cube mentions, regardless of phase.
+    /// The cached 64-bit literal-signature mask: bit `l.code() % 64` is set
+    /// for every literal `l` of this cube, so the two phases of a variable
+    /// set different bits.
     ///
-    /// If `a.subsumes(b)` then `a`'s variables are a subset of `b`'s, so
+    /// If `a.subsumes(b)` then `a`'s literals are a subset of `b`'s, so
     /// `a.signature() & !b.signature() == 0`; a single AND therefore
-    /// refutes most non-subsumptions before any literal comparison.
+    /// refutes most non-subsumptions before any literal comparison —
+    /// including pairs of full-support minterms, which mention the same
+    /// variables and differ only in phase.
     pub fn signature(&self) -> u64 {
         self.sig
     }
@@ -175,7 +179,7 @@ impl Cube {
     /// # Ok::<(), presat_logic::CubeFromLitsError>(())
     /// ```
     pub fn subsumes(&self, other: &Cube) -> bool {
-        // A subset's variables are a subset: one AND refutes most pairs.
+        // A subset's literals are a subset: one AND refutes most pairs.
         if self.sig & !other.sig != 0 {
             return false;
         }
@@ -409,16 +413,28 @@ mod tests {
     }
 
     #[test]
-    fn signature_tracks_mentioned_vars() {
+    fn signature_is_literal_keyed() {
         assert_eq!(Cube::top().signature(), 0);
-        let c = Cube::from_lits([lit(0, true), lit(65, false)]).unwrap();
-        // 65 % 64 == 1: the mask folds high variables onto low bits.
-        assert_eq!(c.signature(), 0b11);
-        assert_eq!(c.without_var(Var::new(65)).signature(), 0b01);
-        let d = c.intersect(&Cube::unit(lit(3, true))).unwrap();
-        assert_eq!(d.signature(), 0b1011);
-        // Phase-independent: both phases of a variable set the same bit.
-        assert_eq!(Cube::unit(lit(2, true)).signature(), Cube::unit(lit(2, false)).signature());
+        // Literal codes are 2v (positive) and 2v + 1 (negative).
+        assert_eq!(Cube::unit(lit(2, true)).signature(), 1 << 4);
+        assert_eq!(Cube::unit(lit(2, false)).signature(), 1 << 5);
+        // 67 % 64 == 3: the mask folds high literal codes onto low bits, so
+        // codes that differ by 64 (x0 and x32, same phase) share a bit.
+        let c = Cube::from_lits([lit(0, true), lit(33, false)]).unwrap();
+        assert_eq!(c.signature(), 0b1001);
+        assert_eq!(
+            Cube::unit(lit(0, true)).signature(),
+            Cube::unit(lit(32, true)).signature()
+        );
+        assert_eq!(c.without_var(Var::new(33)).signature(), 0b0001);
+        let d = c.intersect(&Cube::unit(lit(1, true))).unwrap();
+        assert_eq!(d.signature(), 0b1101);
+        // Two minterms over the same variables fail the prefilter in both
+        // directions: the one-AND test alone refutes subsumption.
+        let m = Cube::from_lits([lit(0, true), lit(1, false)]).unwrap();
+        let n = Cube::from_lits([lit(0, true), lit(1, true)]).unwrap();
+        assert_ne!(m.signature() & !n.signature(), 0);
+        assert_ne!(n.signature() & !m.signature(), 0);
     }
 
     #[test]

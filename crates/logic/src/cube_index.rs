@@ -564,6 +564,15 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "push_disjoint: cube absorbs a stored cube")]
+    fn push_disjoint_asserts_its_precondition_in_debug_builds() {
+        let mut s = CubeIndex::default();
+        s.push_disjoint(cube(&[(0, true), (1, true)]));
+        s.push_disjoint(cube(&[(0, true)]));
+    }
+
+    #[test]
     fn stale_entries_are_pruned_when_the_prefilter_passes_them() {
         // Build cubes that share a variable (so later scans revisit the
         // same lists), absorb some, and keep inserting: the store must

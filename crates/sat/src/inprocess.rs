@@ -6,9 +6,8 @@
 //!
 //! * **root reduction** — clauses satisfied by a level-0 literal are
 //!   tombstoned; level-0-falsified literals are erased;
-//! * **subsumption / self-subsuming resolution** — over occurrence lists
-//!   shared with the [`crate::simplify`] preprocessor (see
-//!   [`crate::subsume`]);
+//! * **subsumption / self-subsuming resolution** — over the occurrence
+//!   lists of [`crate::subsume`];
 //! * **vivification** — assume the negation of a clause literal-by-literal
 //!   under unit propagation and shrink the clause to the prefix that
 //!   already yields a conflict or an implied literal.

@@ -60,7 +60,6 @@
 mod budget;
 mod clause;
 mod heap;
-pub mod simplify;
 mod solver;
 mod subsume;
 mod types;

@@ -25,8 +25,9 @@
 #                    ones).
 #   BENCH_PR10.json — cube-store scaling sweep (occurrence-indexed CubeSet
 #                    vs the retained naive two-scan store on seeded insert
-#                    streams: sparse growth regime at 1k–10k inserts plus a
-#                    dense absorption regime, with the index work counters).
+#                    streams: sparse growth regime at 1k–10k inserts, a
+#                    dense absorption regime and a full-support minterm
+#                    regime, with the index work counters).
 #
 # All binaries assert result equality between the compared configurations
 # before timing anything, so a successful run is also a determinism check.

@@ -4,7 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --offline
+# --workspace builds the presat-bench binaries the smoke checks below run,
+# so verify passes from a checkout with an empty target/.
+cargo build --release --offline --workspace
 
 # The suite runs twice: sequential and multi-threaded enumeration. The
 # parallel determinism tests consult PRESAT_TEST_JOBS, so the =4 pass
@@ -164,11 +166,11 @@ done
 # Cube-store smoke: the scaling bench asserts bit-identity between the
 # occurrence-indexed store and the naive reference on every stream before
 # timing it, so one cheap sample is also a differential check on streams
-# larger than the unit suites use; the JSON must carry both regimes and
+# larger than the unit suites use; the JSON must carry all three regimes and
 # the headline speedup field the R12 table reads.
 PRESAT_BENCH_SAMPLES=1 timeout 300 ./target/release/cubeset_scaling \
   "$smoke_dir/bench_pr10.json" > /dev/null
-for record in sparse_10000 dense_10000; do
+for record in sparse_10000 dense_10000 minterm_4096; do
   if ! grep -q "\"$record\":{" "$smoke_dir/bench_pr10.json"; then
     echo "verify: FAIL — cubeset_scaling produced no $record record" >&2
     exit 1
@@ -176,6 +178,21 @@ for record in sparse_10000 dense_10000; do
 done
 if ! grep -q '"speedup_at_10000":' "$smoke_dir/bench_pr10.json"; then
   echo "verify: FAIL — cubeset_scaling emitted no speedup_at_10000 field" >&2
+  exit 1
+fi
+# Signature gate on the full-support minterm stream: cube signatures are
+# literal-keyed, so two minterms over the same variables must fail the
+# one-AND prefilter and almost no check may reach a literal walk. A work
+# counter gate, deterministic where wall clock is not.
+minterm_record="$(grep -o '"minterm_4096":{[^}]*}' "$smoke_dir/bench_pr10.json")"
+minterm_counter() {
+  printf '%s\n' "$minterm_record" | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"
+}
+if ! awk -v rejects="$(minterm_counter sig_rejects)" \
+    -v checks="$(minterm_counter subsumption_checks)" \
+    'BEGIN { exit !(checks > 0 && rejects >= 0.9 * checks) }'; then
+  echo "verify: FAIL — minterm stream sig_rejects/subsumption_checks below 0.9" >&2
+  printf '%s\n' "$minterm_record" >&2
   exit 1
 fi
 
