@@ -19,7 +19,7 @@
 //!   negated activation literal (assumption negations are pushed into
 //!   learnt clauses by conflict analysis), so they become inert — never
 //!   wrong — once the group is retired.
-//! * **The dynamic signature cache** persists: a [`SigKey::Dynamic`] key
+//! * **The dynamic signature cache** persists: a `SigKey::Dynamic` key
 //!   captures the implied suffix values and the exact surviving-literal
 //!   contents of the residual suffix cone, which *determine* the suffix
 //!   solution set given that the global formula is satisfiable under the
@@ -38,8 +38,6 @@
 //! cached in iteration *k* are reused verbatim in iteration *k+1* when
 //! their signature recurs.
 
-use std::collections::HashMap;
-
 use presat_logic::{Cnf, Lit, Var};
 use presat_obs::{Event, NullSink, ObsSink, StopReason};
 use presat_sat::{Budget, Solver};
@@ -48,8 +46,8 @@ use crate::engine::{AllSatResult, EnumerationStats};
 use crate::limits::EnumLimits;
 use crate::parallel::{enumerate_partitioned, ParTuning};
 use crate::signature::{ConnectivityIndex, ResidualIndex};
-use crate::solution_graph::{SolutionGraph, SolutionNodeId};
-use crate::success_driven::{Search, SigKey, SignatureMode, SuccessDrivenAllSat};
+use crate::solution_graph::SolutionGraph;
+use crate::success_driven::{Search, SigCache, SignatureMode, SuccessDrivenAllSat};
 
 /// An all-SAT engine whose solver, solution graph, and signature cache
 /// persist across `enumerate` calls over one monotonically growing formula.
@@ -105,7 +103,7 @@ pub struct IncrementalAllSat {
     important: Vec<Var>,
     solver: Solver,
     graph: SolutionGraph,
-    cache: HashMap<SigKey, SolutionNodeId>,
+    cache: SigCache,
     residual: Option<ResidualIndex>,
     /// Clause count already covered by `residual`.
     indexed_clauses: usize,
@@ -161,7 +159,7 @@ impl IncrementalAllSat {
             important,
             solver,
             graph: SolutionGraph::new(k),
-            cache: HashMap::new(),
+            cache: SigCache::default(),
             residual,
             indexed_clauses,
             pending_compactions: 0,
@@ -355,6 +353,7 @@ impl IncrementalAllSat {
             self.graph = graph;
             self.cache = cache;
             stats = s;
+            stats.sig_key_words = self.cache.words();
             // This call's limits must not outlive it: the persistent
             // solver returns to unlimited, un-cancellable operation.
             self.solver.set_budget(Budget::unlimited());

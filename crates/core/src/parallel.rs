@@ -58,7 +58,7 @@
 //! spends the *caller's* budget once — not once per worker. The wall-clock
 //! deadline is an absolute instant and therefore shared by construction.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -70,7 +70,7 @@ use crate::engine::{AllSatEngine, AllSatProblem, AllSatResult, EnumerationStats}
 use crate::limits::{first_reason, EnumLimits};
 use crate::signature::{ConnectivityIndex, ResidualIndex};
 use crate::solution_graph::{SolutionGraph, SolutionNodeId};
-use crate::success_driven::{Search, SignatureMode, SuccessDrivenAllSat};
+use crate::success_driven::{Search, SigCache, SignatureMode, SuccessDrivenAllSat};
 
 /// Upper bound on the partition-prefix length: `2^8 = 256` cubes saturates
 /// any sane thread count while keeping per-cube solver overhead bounded.
@@ -744,7 +744,7 @@ fn run_adaptive_worker(
     let mut residual =
         (config.signature == SignatureMode::Dynamic).then(|| ResidualIndex::build(cnf));
     let mut graph = SolutionGraph::new(k);
-    let mut cache = HashMap::new();
+    let mut cache = SigCache::default();
     let mut leaves = Vec::new();
     let mut splits = Vec::new();
     let mut steal_waits = 0u64;
@@ -827,6 +827,7 @@ fn run_adaptive_worker(
         graph = search.graph;
         cache = search.cache;
         let mut stats = search.stats;
+        stats.sig_key_words = cache.words();
 
         // A Conflicts stop is ambiguous: the local split threshold and
         // the shared pool surface the same reason. The pool's exhaustion
@@ -1052,7 +1053,7 @@ fn run_static_worker(
     let mut residual =
         (config.signature == SignatureMode::Dynamic).then(|| ResidualIndex::build(cnf));
     let mut graph = SolutionGraph::new(k);
-    let mut cache = HashMap::new();
+    let mut cache = SigCache::default();
     let mut outcomes = Vec::new();
 
     loop {
@@ -1130,6 +1131,7 @@ fn run_static_worker(
         graph = search.graph;
         cache = search.cache;
         let mut stats = search.stats;
+        stats.sig_key_words = cache.words();
         stats.max_cube_conflicts = stats.max_cube_conflicts.max(stats.sat.conflicts);
         outcomes.push(LeafOutcome {
             path_bits: index as u32,

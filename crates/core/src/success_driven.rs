@@ -127,10 +127,55 @@ pub(crate) enum SigKey {
     /// empty in sequential mode). Two prefixes only share a subspace if
     /// the constraints the cube imposes below this depth agree too.
     Static(u32, Vec<bool>, Vec<(u32, bool)>),
-    /// Depth, unit-implied suffix values, residual suffix cone. (Forced
-    /// cube literals ride in `prefix_lits`, so they already show up in the
-    /// implied suffix values — no extra component needed.)
-    Dynamic(u32, Vec<(u32, bool)>, ResidualSignature),
+    /// Depth, unit-implied suffix values, and residual suffix cone in one
+    /// flat vector ([`ResidualSignature`]). (Forced cube literals ride in
+    /// `prefix_lits`, so they already show up in the implied suffix
+    /// values — no extra component needed.)
+    Dynamic(ResidualSignature),
+}
+
+impl SigKey {
+    /// Words of key content: the flat vector's length for a dynamic key,
+    /// one per stored element for a static one.
+    fn words(&self) -> u64 {
+        match self {
+            SigKey::Static(_, vals, forced) => (1 + vals.len() + forced.len()) as u64,
+            SigKey::Dynamic(key) => key.len() as u64,
+        }
+    }
+}
+
+/// The success-driven cache: exact subspace keys to the roots of their
+/// finished subgraphs, plus the key words it holds (reported as the
+/// `sig_key_words` gauge).
+#[derive(Debug, Default)]
+pub(crate) struct SigCache {
+    map: HashMap<SigKey, SolutionNodeId>,
+    words: u64,
+}
+
+impl SigCache {
+    fn get(&self, key: &SigKey) -> Option<SolutionNodeId> {
+        self.map.get(key).copied()
+    }
+
+    fn insert(&mut self, key: SigKey, node: SolutionNodeId) {
+        let words = key.words();
+        if self.map.insert(key, node).is_none() {
+            self.words += words;
+        }
+    }
+
+    /// Drops every entry.
+    pub(crate) fn clear(&mut self) {
+        self.map.clear();
+        self.words = 0;
+    }
+
+    /// Key words currently held.
+    pub(crate) fn words(&self) -> u64 {
+        self.words
+    }
 }
 
 /// One in-flight enumeration: the sub-solver, the signature indices, the
@@ -152,7 +197,7 @@ pub(crate) struct Search<'p> {
     pub(crate) conn: Option<ConnectivityIndex>,
     pub(crate) residual: Option<ResidualIndex>,
     pub(crate) graph: SolutionGraph,
-    pub(crate) cache: HashMap<SigKey, SolutionNodeId>,
+    pub(crate) cache: SigCache,
     pub(crate) stats: EnumerationStats,
     pub(crate) prefix_lits: Vec<Lit>,
     pub(crate) prefix_vals: Vec<bool>,
@@ -200,18 +245,16 @@ impl Search<'_> {
                 forced_suffix,
             )));
         }
-        let residual = self.residual.as_ref()?;
+        let residual = self.residual.as_mut()?;
         let Some(alpha) = self.solver.propagate_under(&self.prefix_lits) else {
             return Some(Err(()));
         };
-        let suffix = &self.important[depth..];
-        let implied: Vec<(u32, bool)> = suffix
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &v)| alpha.value(v).map(|b| ((depth + i) as u32, b)))
-            .collect();
-        let cone = residual.signature(self.cnf, &alpha, suffix);
-        Some(Ok(SigKey::Dynamic(depth as u32, implied, cone)))
+        Some(Ok(SigKey::Dynamic(residual.signature(
+            self.cnf,
+            &alpha,
+            self.important,
+            depth,
+        ))))
     }
 
     /// Enumerates the subspace under the current prefix (of length `depth`)
@@ -252,7 +295,7 @@ impl Search<'_> {
         }
         let sig = match self.signature_at(depth) {
             Some(Ok(sig)) => {
-                if let Some(&node) = self.cache.get(&sig) {
+                if let Some(node) = self.cache.get(&sig) {
                     self.stats.cache_hits += 1;
                     self.sink.record(&Event::CacheHit {
                         depth: depth as u32,
@@ -370,7 +413,7 @@ impl AllSatEngine for SuccessDrivenAllSat {
             residual: (self.signature == SignatureMode::Dynamic)
                 .then(|| ResidualIndex::build(&problem.cnf)),
             graph: SolutionGraph::new(k),
-            cache: HashMap::new(),
+            cache: SigCache::default(),
             stats: EnumerationStats::default(),
             prefix_lits: Vec::with_capacity(k),
             prefix_vals: Vec::with_capacity(k),
@@ -383,6 +426,7 @@ impl AllSatEngine for SuccessDrivenAllSat {
         };
         let root = search.explore(0, None);
         search.stats.graph_nodes = search.graph.reachable_count(root) as u64;
+        search.stats.sig_key_words = search.cache.words();
         search.stats.sat = *search.solver.stats();
         let db = search.stats.sat.problem_clauses + search.solver.live_learnt_count() as u64;
         search.stats.db_clauses_peak = search.stats.db_clauses_peak.max(db);
@@ -570,6 +614,24 @@ mod tests {
         let r = SuccessDrivenAllSat::new().enumerate(&p);
         let expect = truth_table::project_models_set(&cnf, &important);
         assert!(r.cubes.semantically_eq(&expect, &important));
+    }
+
+    #[test]
+    fn sig_cache_counts_the_words_of_distinct_keys() {
+        let mut cache = SigCache::default();
+        cache.insert(SigKey::Dynamic(vec![1, 0, 1, 2]), SolutionNodeId::TOP);
+        let key = SigKey::Static(2, vec![true], vec![(3, false)]);
+        cache.insert(key, SolutionNodeId::TOP);
+        assert_eq!(cache.words(), 4 + 3);
+        // Re-inserting a present key stores nothing new.
+        cache.insert(SigKey::Dynamic(vec![1, 0, 1, 2]), SolutionNodeId::BOTTOM);
+        assert_eq!(cache.words(), 7);
+        assert_eq!(
+            cache.get(&SigKey::Dynamic(vec![1, 0, 1, 2])),
+            Some(SolutionNodeId::BOTTOM)
+        );
+        cache.clear();
+        assert_eq!(cache.words(), 0);
     }
 
     #[test]

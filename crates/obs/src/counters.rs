@@ -116,6 +116,9 @@ pub struct AllSatCounters {
     pub cache_misses: u64,
     /// Nodes in the resulting solution graph (success-driven engine only).
     pub graph_nodes: u64,
+    /// `u32` words of key content the success-driven signature cache holds
+    /// when the call ends (a gauge: absorbing snapshots takes the maximum).
+    pub sig_key_words: u64,
     /// Conflicts reported by the underlying CDCL solver.
     pub sat_conflicts: u64,
     /// Decisions reported by the underlying CDCL solver.
@@ -160,7 +163,8 @@ pub struct AllSatCounters {
 
 impl AllSatCounters {
     /// Accumulates another snapshot into this one. Work counters are
-    /// additive; `graph_nodes` (a per-run peak) takes the maximum.
+    /// additive; `graph_nodes` (a per-run peak) and the `sig_key_words`
+    /// gauge take the maximum.
     pub fn absorb(&mut self, other: &AllSatCounters) {
         self.solver_calls += other.solver_calls;
         self.blocking_clauses += other.blocking_clauses;
@@ -170,6 +174,7 @@ impl AllSatCounters {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.graph_nodes = self.graph_nodes.max(other.graph_nodes);
+        self.sig_key_words = self.sig_key_words.max(other.sig_key_words);
         self.sat_conflicts += other.sat_conflicts;
         self.sat_decisions += other.sat_decisions;
         self.budget_stops += other.budget_stops;
@@ -315,6 +320,23 @@ mod tests {
         assert_eq!(a.arena_bytes, 100, "gauge takes the max, not the sum");
         assert_eq!(a.db_compactions, 3);
         assert_eq!(a.clauses_reclaimed, 8);
+    }
+
+    #[test]
+    fn absorb_treats_sig_key_words_as_a_gauge() {
+        let mut a = AllSatCounters {
+            sig_key_words: 30,
+            cache_hits: 2,
+            ..AllSatCounters::default()
+        };
+        let b = AllSatCounters {
+            sig_key_words: 70,
+            cache_hits: 5,
+            ..AllSatCounters::default()
+        };
+        a.absorb(&b);
+        assert_eq!(a.sig_key_words, 70, "gauge takes the max, not the sum");
+        assert_eq!(a.cache_hits, 7);
     }
 
     #[test]

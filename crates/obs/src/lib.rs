@@ -165,6 +165,7 @@ impl Stats {
             .field_u64("cache_hits", self.allsat.cache_hits)
             .field_u64("cache_misses", self.allsat.cache_misses)
             .field_u64("graph_nodes", self.allsat.graph_nodes)
+            .field_u64("sig_key_words", self.allsat.sig_key_words)
             .field_u64("budget_stops", self.allsat.budget_stops)
             .field_u64("cancelled_cubes", self.allsat.cancelled_cubes)
             .field_u64("chrono_backtracks", self.allsat.chrono_backtracks)
@@ -222,6 +223,7 @@ impl Stats {
             "allsat_cache_hits",
             "allsat_cache_misses",
             "allsat_graph_nodes",
+            "allsat_sig_key_words",
             "allsat_budget_stops",
             "allsat_cancelled_cubes",
             "allsat_chrono_backtracks",
@@ -270,6 +272,7 @@ impl Stats {
             self.allsat.cache_hits,
             self.allsat.cache_misses,
             self.allsat.graph_nodes,
+            self.allsat.sig_key_words,
             self.allsat.budget_stops,
             self.allsat.cancelled_cubes,
             self.allsat.chrono_backtracks,

@@ -104,7 +104,7 @@ fi
 for field in db_compactions clauses_reclaimed cones_skipped \
     inprocess_rounds subsumed_clauses strengthened_lits vivified_clauses \
     lookahead_probes cubes_split max_cube_conflicts steal_waits \
-    subsumption_checks sig_rejects index_candidates; do
+    subsumption_checks sig_rejects index_candidates sig_key_words; do
   if ! printf '%s\n' "$smoke_out" | grep -q "\"$field\":"; then
     echo "verify: FAIL — stats JSON missing the $field counter" >&2
     printf '%s\n' "$smoke_out" >&2

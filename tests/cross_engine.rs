@@ -191,3 +191,34 @@ fn sat_and_bdd_agree_with_valid_json_stats() {
         }
     }
 }
+
+/// The success-driven work counters on comparators, pinned to the values
+/// the nested residual-signature keys produced before the keys were
+/// flattened: the key layout must change what a cached subspace costs,
+/// never which subspaces share one.
+#[test]
+fn success_driven_comparator_counters_are_pinned() {
+    // (n, solver_calls, cache_hits, graph_nodes, sat.propagations)
+    let pinned = [
+        (9, 513, 510, 11, 54_239),
+        (10, 1025, 1022, 12, 120_795),
+        (11, 2049, 2046, 13, 266_199),
+        (12, 4097, 4094, 14, 581_587),
+    ];
+    for (n, calls, hits, nodes, props) in pinned {
+        let c = generators::comparator(n);
+        let target = StateSet::from_partial(&[(0, true), (n, true)]);
+        let stats = SatPreimage::success_driven()
+            .with_jobs(1)
+            .preimage(&c, &target)
+            .stats
+            .allsat;
+        let got = (
+            stats.solver_calls,
+            stats.cache_hits,
+            stats.graph_nodes,
+            stats.sat.propagations,
+        );
+        assert_eq!(got, (calls, hits, nodes, props), "cmp{n}");
+    }
+}

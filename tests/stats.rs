@@ -76,6 +76,40 @@ fn success_driven_counters_on_known_instance() {
     assert_eq!(json::extract_u64(&text, "blocking_clauses"), Some(0));
 }
 
+/// The `sig_key_words` gauge reports the signature cache's key memory:
+/// non-zero wherever the success-driven cache stored a key, zero for the
+/// blocking engine, and the same number in the JSON snapshot and CSV row.
+#[test]
+fn sig_key_words_gauges_the_signature_cache() {
+    let problem = AllSatProblem::new(four_solution_cnf(), Var::range(3).collect());
+    let sd = SuccessDrivenAllSat::new().enumerate(&problem);
+    assert!(sd.stats.cache_misses > 0);
+    assert!(sd.stats.sig_key_words > 0);
+    let bl = BlockingAllSat::new().enumerate(&problem);
+    assert_eq!(bl.stats.sig_key_words, 0);
+
+    let stats = Stats::from_allsat("success-driven", &sd.stats);
+    assert_eq!(
+        json::extract_u64(&stats.to_json(), "sig_key_words"),
+        Some(sd.stats.sig_key_words)
+    );
+    let header = Stats::csv_header();
+    let column = header
+        .split(',')
+        .position(|h| h == "allsat_sig_key_words")
+        .expect("csv header names allsat_sig_key_words");
+    let row = stats.to_csv_row();
+    assert_eq!(
+        row.split(',').nth(column),
+        Some(sd.stats.sig_key_words.to_string().as_str())
+    );
+
+    // A preimage carries the gauge through to the preimage snapshot.
+    let c = generators::comparator(4);
+    let pre = SatPreimage::success_driven().preimage(&c, &StateSet::from_partial(&[(0, true)]));
+    assert!(pre.stats.allsat.sig_key_words > 0);
+}
+
 #[test]
 fn preimage_counters_carry_all_layers() {
     // The only predecessor of 9 in a 4-bit counter is 8.
