@@ -22,7 +22,7 @@
 #![forbid(unsafe_code)]
 
 use presat_bench::harness::{fmt_duration, measure};
-use presat_bench::workloads::{reach_workloads, Workload};
+use presat_bench::workloads::{assert_identical_reach, reach_workloads, Workload};
 use presat_obs::json::{self, JsonObject};
 use presat_preimage::{backward_reach, ReachOptions, ReachReport, SatPreimage, StateSet};
 
@@ -43,28 +43,6 @@ fn run(w: &Workload, jobs: usize, incremental: bool) -> ReachReport {
             ..ReachOptions::default()
         },
     )
-}
-
-fn assert_identical(label: &str, a: &ReachReport, b: &ReachReport) {
-    assert_eq!(a.converged, b.converged, "{label}: convergence diverged");
-    assert_eq!(
-        a.reached.cubes(),
-        b.reached.cubes(),
-        "{label}: reached cube set diverged"
-    );
-    assert_eq!(
-        a.iterations.len(),
-        b.iterations.len(),
-        "{label}: iteration count diverged"
-    );
-    for (x, y) in a.iterations.iter().zip(&b.iterations) {
-        assert_eq!(
-            (x.frontier_cubes, x.new_states, x.reached_states),
-            (y.frontier_cubes, y.new_states, y.reached_states),
-            "{label}: iteration row {} diverged",
-            x.iteration
-        );
-    }
 }
 
 fn main() {
@@ -94,7 +72,7 @@ fn main() {
         for jobs in [1usize, 4] {
             let rebuild = run(w, jobs, false);
             let session = run(w, jobs, true);
-            assert_identical(&format!("{} jobs={jobs}", w.label), &rebuild, &session);
+            assert_identical_reach(&format!("{} jobs={jobs}", w.label), &rebuild, &session);
         }
     }
 

@@ -1,7 +1,7 @@
 //! The benchmark suite: circuits and their preimage targets.
 
 use presat_circuit::{embedded, generators, Circuit};
-use presat_preimage::StateSet;
+use presat_preimage::{ReachReport, StateSet};
 
 /// One benchmark instance: a circuit plus the target set whose preimage is
 /// computed.
@@ -165,6 +165,60 @@ pub fn reach_workloads() -> Vec<Workload> {
             StateSet::from_state_bits(0xFF, 8),
         ),
     ]
+}
+
+/// Deep backward fixed points for table R14, all to state 0: 128–512
+/// iterations on one incremental session, the regime where how often
+/// the session inprocesses decides its cost.
+pub fn deep_reach_workloads() -> Vec<Workload> {
+    vec![
+        Workload::new(
+            "gray7",
+            generators::gray_counter(7),
+            StateSet::from_state_bits(0, 7),
+        ),
+        Workload::new(
+            "gray8",
+            generators::gray_counter(8),
+            StateSet::from_state_bits(0, 8),
+        ),
+        Workload::new(
+            "cnt8e",
+            generators::counter(8, true),
+            StateSet::from_state_bits(0, 8),
+        ),
+        Workload::new(
+            "cnt9",
+            generators::counter(9, false),
+            StateSet::from_state_bits(0, 9),
+        ),
+    ]
+}
+
+/// Asserts that two reachability reports did the same work: same
+/// convergence, same reached cube set, and the same iteration rows. The
+/// reach benches run this before timing two configurations against each
+/// other, since a speedup is only meaningful if the answers match.
+pub fn assert_identical_reach(label: &str, a: &ReachReport, b: &ReachReport) {
+    assert_eq!(a.converged, b.converged, "{label}: convergence diverged");
+    assert_eq!(
+        a.reached.cubes(),
+        b.reached.cubes(),
+        "{label}: reached cube set diverged"
+    );
+    assert_eq!(
+        a.iterations.len(),
+        b.iterations.len(),
+        "{label}: iteration count diverged"
+    );
+    for (x, y) in a.iterations.iter().zip(&b.iterations) {
+        assert_eq!(
+            (x.frontier_cubes, x.new_states, x.reached_states),
+            (y.frontier_cubes, y.new_states, y.reached_states),
+            "{label}: iteration row {} diverged",
+            x.iteration
+        );
+    }
 }
 
 /// The ablation suite for figure F4: circuits where each mechanism

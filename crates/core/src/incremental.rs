@@ -39,7 +39,7 @@
 //! their signature recurs.
 
 use presat_logic::{Cnf, Lit, Var};
-use presat_obs::{Event, NullSink, ObsSink, StopReason};
+use presat_obs::{Event, NullSink, ObsSink, SatCounters, StopReason};
 use presat_sat::{Budget, Solver};
 
 use crate::engine::{AllSatResult, EnumerationStats};
@@ -107,21 +107,13 @@ pub struct IncrementalAllSat {
     residual: Option<ResidualIndex>,
     /// Clause count already covered by `residual`.
     indexed_clauses: usize,
-    /// Arena compactions (and clauses they reclaimed) that ran *between*
-    /// enumeration calls — `retire` triggers garbage collection after the
-    /// previous call's stats snapshot was taken. Folded into the next
-    /// call's snapshot exactly once, so per-call stats sum to session
-    /// totals.
-    pending_compactions: u64,
-    pending_reclaimed: u64,
-    /// Root-level inprocessing work that likewise ran between calls
-    /// (`retire` runs the solver's inprocessor after dropping the group);
-    /// folded into the next call's snapshot exactly once, like the GC
-    /// counters above.
-    pending_inprocess_rounds: u64,
-    pending_subsumed: u64,
-    pending_strengthened: u64,
-    pending_vivified: u64,
+    /// Solver work that ran *between* enumeration calls, after the
+    /// previous call's stats snapshot was taken: `retire`'s group deletion,
+    /// garbage collection and inprocessing (vivification propagations
+    /// included). Work counters only — the gauges stay zero. Folded into
+    /// the next call's snapshot exactly once, so per-call stats sum to
+    /// session totals.
+    pending: SatCounters,
 }
 
 impl IncrementalAllSat {
@@ -162,12 +154,7 @@ impl IncrementalAllSat {
             cache: SigCache::default(),
             residual,
             indexed_clauses,
-            pending_compactions: 0,
-            pending_reclaimed: 0,
-            pending_inprocess_rounds: 0,
-            pending_subsumed: 0,
-            pending_strengthened: 0,
-            pending_vivified: 0,
+            pending: SatCounters::default(),
         }
     }
 
@@ -195,21 +182,21 @@ impl IncrementalAllSat {
     ///
     /// Retirement is also the session's inprocessing point: with the
     /// solver's [`presat_sat::SolverConfig::inprocess`] knob on (the
-    /// default), the surviving problem and learnt clauses are subsumed,
-    /// strengthened, and vivified at the root. Inprocessing is
+    /// default), [`Solver::maybe_inprocess`] subsumes, strengthens, and
+    /// vivifies the surviving problem and learnt clauses at the root once
+    /// the live clause DB has doubled since its previous pass, so the
+    /// passes over a deep fixed point cost O(1) per clause word added, not
+    /// one full sweep per iteration. Inprocessing is
     /// equivalence-preserving, so enumeration results are unchanged — only
     /// the work counters and the live clause volume move.
+    ///
+    /// The work done here is charged to the *next* enumeration call's
+    /// stats (see [`IncrementalAllSat::enumerate_limited`]).
     pub fn retire(&mut self, act: Lit) -> u64 {
         let before = *self.solver.stats();
         let removed = self.solver.retire_group(act);
-        self.solver.inprocess();
-        let after = self.solver.stats();
-        self.pending_compactions += after.db_compactions - before.db_compactions;
-        self.pending_reclaimed += after.clauses_reclaimed - before.clauses_reclaimed;
-        self.pending_inprocess_rounds += after.inprocess_rounds - before.inprocess_rounds;
-        self.pending_subsumed += after.subsumed_clauses - before.subsumed_clauses;
-        self.pending_strengthened += after.strengthened_lits - before.strengthened_lits;
-        self.pending_vivified += after.vivified_clauses - before.vivified_clauses;
+        self.solver.maybe_inprocess();
+        self.pending.absorb(&self.solver.stats().work_since(&before));
         removed
     }
 
@@ -251,7 +238,9 @@ impl IncrementalAllSat {
     /// [`crate::SuccessDrivenAllSat`] / [`crate::ParallelAllSat`] run on
     /// the same formula + assumptions: the persistent state is pure
     /// acceleration (learnt clauses, cached canonical subgraphs), never
-    /// semantics. Work counters in the returned stats cover this call only.
+    /// semantics. Work counters in the returned stats cover this call plus
+    /// the [`retire`](IncrementalAllSat::retire) work done since the
+    /// previous call, so per-call stats sum to session totals.
     pub fn enumerate_with_sink(
         &mut self,
         assumptions: &[Lit],
@@ -363,20 +352,9 @@ impl IncrementalAllSat {
                 sink.record(&Event::BudgetStop { reason });
             }
         }
-        // Attribute between-call garbage collection (from `retire`) to
-        // this call's snapshot, exactly once.
-        stats.sat.db_compactions += self.pending_compactions;
-        stats.sat.clauses_reclaimed += self.pending_reclaimed;
-        stats.sat.inprocess_rounds += self.pending_inprocess_rounds;
-        stats.sat.subsumed_clauses += self.pending_subsumed;
-        stats.sat.strengthened_lits += self.pending_strengthened;
-        stats.sat.vivified_clauses += self.pending_vivified;
-        self.pending_compactions = 0;
-        self.pending_reclaimed = 0;
-        self.pending_inprocess_rounds = 0;
-        self.pending_subsumed = 0;
-        self.pending_strengthened = 0;
-        self.pending_vivified = 0;
+        // Attribute between-call work (from `retire`) to this call's
+        // snapshot, exactly once.
+        stats.sat.absorb(&std::mem::take(&mut self.pending));
         stats.graph_nodes = self.graph.reachable_count(root) as u64;
         let cubes = self.graph.to_cube_set(root, &self.important);
         stats.cubes_emitted = cubes.len() as u64;
@@ -532,6 +510,43 @@ mod tests {
         // Second call re-proves the same space; counters must not be
         // cumulative across calls.
         assert!(r2.stats.solver_calls <= r1.stats.solver_calls);
+    }
+
+    #[test]
+    fn retire_work_is_charged_to_the_next_call() {
+        let cnf = random_cnf(5, 8, 20);
+        let important: Vec<Var> = Var::range(5).collect();
+        let mut inc = IncrementalAllSat::new(cnf, important, Default::default(), 1);
+        let act = Lit::pos(inc.add_var());
+        // Fresh variables keep the group clause long (root units cannot
+        // shorten it), so retirement deletes it from the arena.
+        let (y, z) = (Lit::pos(inc.add_var()), Lit::pos(inc.add_var()));
+        inc.add_clause(vec![!act, y, z]);
+        let _ = inc.enumerate(&[act]);
+        let before = *inc.solver.stats();
+        inc.retire(act);
+        let retired = inc.solver.stats().work_since(&before);
+        // The session's first retirement always inprocesses, and
+        // vivifying the random ternaries propagates.
+        assert!(retired.inprocess_rounds >= 1);
+        assert!(retired.propagations > 0);
+        assert!(retired.deleted_clauses >= 1, "the group clause is deleted");
+        let r = inc.enumerate(&[]);
+        let own = *inc.solver.stats();
+        assert_eq!(
+            r.stats.sat.propagations,
+            own.propagations + retired.propagations
+        );
+        assert_eq!(
+            r.stats.sat.deleted_clauses,
+            own.deleted_clauses + retired.deleted_clauses
+        );
+        assert_eq!(r.stats.sat.inprocess_rounds, retired.inprocess_rounds);
+        // Folded exactly once: a call with no retirement before it
+        // carries only its own work.
+        let r2 = inc.enumerate(&[]);
+        assert_eq!(r2.stats.sat.propagations, inc.solver.stats().propagations);
+        assert_eq!(r2.stats.sat.inprocess_rounds, 0);
     }
 
     #[test]

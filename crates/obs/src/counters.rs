@@ -77,6 +77,33 @@ impl SatCounters {
         self.vivified_clauses += other.vivified_clauses;
         self.lookahead_probes += other.lookahead_probes;
     }
+
+    /// The work done since `earlier`, an earlier snapshot of the same
+    /// counters (no reset in between): every work counter as the
+    /// difference, the gauges `learnt_clauses` and `arena_bytes` zero, so
+    /// [`absorb`](SatCounters::absorb)ing the result into a later window
+    /// adds exactly that work and moves no gauge.
+    pub fn work_since(&self, earlier: &SatCounters) -> SatCounters {
+        SatCounters {
+            solves: self.solves - earlier.solves,
+            decisions: self.decisions - earlier.decisions,
+            propagations: self.propagations - earlier.propagations,
+            binary_skips: self.binary_skips - earlier.binary_skips,
+            conflicts: self.conflicts - earlier.conflicts,
+            restarts: self.restarts - earlier.restarts,
+            learnt_clauses: 0,
+            deleted_clauses: self.deleted_clauses - earlier.deleted_clauses,
+            problem_clauses: self.problem_clauses - earlier.problem_clauses,
+            arena_bytes: 0,
+            db_compactions: self.db_compactions - earlier.db_compactions,
+            clauses_reclaimed: self.clauses_reclaimed - earlier.clauses_reclaimed,
+            inprocess_rounds: self.inprocess_rounds - earlier.inprocess_rounds,
+            subsumed_clauses: self.subsumed_clauses - earlier.subsumed_clauses,
+            strengthened_lits: self.strengthened_lits - earlier.strengthened_lits,
+            vivified_clauses: self.vivified_clauses - earlier.vivified_clauses,
+            lookahead_probes: self.lookahead_probes - earlier.lookahead_probes,
+        }
+    }
 }
 
 impl fmt::Display for SatCounters {
@@ -320,6 +347,37 @@ mod tests {
         assert_eq!(a.arena_bytes, 100, "gauge takes the max, not the sum");
         assert_eq!(a.db_compactions, 3);
         assert_eq!(a.clauses_reclaimed, 8);
+    }
+
+    #[test]
+    fn work_since_subtracts_work_and_drops_gauges() {
+        let earlier = SatCounters {
+            propagations: 10,
+            deleted_clauses: 1,
+            learnt_clauses: 7,
+            arena_bytes: 400,
+            ..SatCounters::default()
+        };
+        let later = SatCounters {
+            propagations: 25,
+            deleted_clauses: 4,
+            inprocess_rounds: 1,
+            learnt_clauses: 3,
+            arena_bytes: 300,
+            ..SatCounters::default()
+        };
+        let d = later.work_since(&earlier);
+        assert_eq!(d.propagations, 15);
+        assert_eq!(d.deleted_clauses, 3);
+        assert_eq!(d.inprocess_rounds, 1);
+        assert_eq!((d.learnt_clauses, d.arena_bytes), (0, 0));
+        let mut window = SatCounters {
+            learnt_clauses: 5,
+            arena_bytes: 200,
+            ..SatCounters::default()
+        };
+        window.absorb(&d);
+        assert_eq!((window.learnt_clauses, window.arena_bytes), (5, 200));
     }
 
     #[test]

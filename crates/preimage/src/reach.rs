@@ -29,7 +29,8 @@ pub struct ReachOptions {
     /// way; engines without sessions silently use the per-call path.
     pub incremental: bool,
     /// Run root-level solver inprocessing at the session's retirement
-    /// boundaries (the default). Equivalence-preserving — the report is
+    /// boundaries once its clause DB has doubled since the previous pass
+    /// (the default). Equivalence-preserving — the report is
     /// identical either way — but keeps the persistent solver's live
     /// clause volume down over deep fixed points. Ignored on the per-call
     /// path (`incremental == false`), which rebuilds the solver anyway.
@@ -40,6 +41,9 @@ pub struct ReachOptions {
     pub step_budget: Budget,
     /// Resource budget for the whole fixed point: counter limits are spent
     /// down across iterations, the deadline bounds the loop's wall clock.
+    /// On the session path the spend includes the work a session does
+    /// between iterations (retiring the group, inprocessing, and its
+    /// vivification propagations), charged to the following iteration.
     pub total_budget: Budget,
     /// Cooperative cancellation: polled by the running engine (SAT kinds)
     /// and between iterations (every engine).

@@ -313,6 +313,11 @@ impl ClauseDb {
         self.wasted
     }
 
+    /// Words held by live clauses: the arena minus its tombstones.
+    pub(crate) fn live_words(&self) -> usize {
+        self.arena.len() - self.wasted
+    }
+
     /// Number of live learnt clauses (O(1): maintained incrementally).
     pub(crate) fn live_learnts(&self) -> usize {
         self.live_learnt

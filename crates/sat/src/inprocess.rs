@@ -1,8 +1,10 @@
 //! Root-level inprocessing over the flat clause arena.
 //!
-//! [`Solver::inprocess`] runs at session boundaries (after an activation
-//! group retires) and strengthens the clause database in place with three
-//! equivalence-preserving rewrites:
+//! [`Solver::inprocess`] strengthens the clause database in place with
+//! three equivalence-preserving rewrites. Incremental sessions reach it
+//! through [`Solver::maybe_inprocess`] at their boundaries (after an
+//! activation group retires), which runs a pass only once the live clause
+//! words have doubled since the previous one:
 //!
 //! * **root reduction** — clauses satisfied by a level-0 literal are
 //!   tombstoned; level-0-falsified literals are erased;
@@ -45,6 +47,12 @@ use crate::subsume::{Action, Subsumer};
 use crate::types::Lbool;
 
 use super::{Reason, Solver};
+
+/// Growth trigger for [`Solver::maybe_inprocess`]: a pass runs once the
+/// live arena words reach this multiple of what the previous pass left.
+/// Every pass touches each long clause a bounded number of times, so a
+/// geometric trigger amortises inprocessing to O(1) per clause word added.
+const INPROCESS_GROWTH: usize = 2;
 
 /// Behaviour knobs for [`Solver::inprocess`]. Budgets are per *round*;
 /// a default-constructed config enables inprocessing.
@@ -127,6 +135,32 @@ impl Solver {
         self.stats.learnt_clauses = self.db.live_learnts() as u64;
         self.maybe_collect_garbage();
         self.ok
+    }
+
+    /// [`Solver::inprocess`] on a clause-DB growth schedule, for callers
+    /// that reach a root-level boundary over and over (one per incremental
+    /// session iteration): the first call always runs a pass, and each
+    /// later call runs one only once the live arena words (the arena minus
+    /// its tombstones) have reached twice (`INPROCESS_GROWTH`) what the
+    /// previous pass left behind. A skipped call changes nothing. Returns
+    /// [`Solver::is_ok`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if called above decision level 0.
+    pub fn maybe_inprocess(&mut self) -> bool {
+        assert_eq!(self.decision_level(), 0, "inprocess requires level 0");
+        if !self.config.inprocess {
+            return self.ok;
+        }
+        if let Some(base) = self.inprocess_base_words {
+            if self.db.live_words() < INPROCESS_GROWTH * base {
+                return self.ok;
+            }
+        }
+        let ok = self.inprocess();
+        self.inprocess_base_words = Some(self.db.live_words());
+        ok
     }
 
     /// One subsumption round: loads every live clause (root-reduced) into
@@ -461,6 +495,59 @@ mod tests {
         let before = *s.stats();
         assert!(s.inprocess());
         assert_eq!(*s.stats(), before);
+    }
+
+    /// Adds `n` ternary clauses over fresh, pairwise disjoint variables:
+    /// nothing subsumes, strengthens, or vivifies them, so a pass leaves
+    /// the live words exactly as it found them.
+    fn add_disjoint_ternaries(s: &mut Solver, n: usize) {
+        for _ in 0..n {
+            let v: Vec<Lit> = (0..3).map(|_| Lit::pos(s.add_var())).collect();
+            s.add_clause(v);
+        }
+    }
+
+    #[test]
+    fn first_scheduled_pass_always_runs() {
+        let mut s = Solver::new(0);
+        add_disjoint_ternaries(&mut s, 4);
+        assert!(s.maybe_inprocess());
+        assert_eq!(s.stats().inprocess_rounds, 1);
+    }
+
+    #[test]
+    fn growth_below_twice_the_last_pass_skips() {
+        let mut s = Solver::new(0);
+        add_disjoint_ternaries(&mut s, 4);
+        s.maybe_inprocess();
+        add_disjoint_ternaries(&mut s, 3);
+        let before = *s.stats();
+        assert!(s.maybe_inprocess());
+        assert_eq!(*s.stats(), before, "a skipped call must change nothing");
+        assert_eq!(s.stats().inprocess_rounds, 1);
+    }
+
+    #[test]
+    fn doubled_clause_db_runs_the_next_pass() {
+        let mut s = Solver::new(0);
+        add_disjoint_ternaries(&mut s, 4);
+        s.maybe_inprocess();
+        add_disjoint_ternaries(&mut s, 4);
+        assert!(s.maybe_inprocess());
+        assert_eq!(s.stats().inprocess_rounds, 2);
+        // The baseline moved to the doubled DB: the same call now skips.
+        s.maybe_inprocess();
+        assert_eq!(s.stats().inprocess_rounds, 2);
+    }
+
+    #[test]
+    fn direct_inprocess_ignores_the_schedule() {
+        let mut s = Solver::new(0);
+        add_disjoint_ternaries(&mut s, 4);
+        s.maybe_inprocess();
+        s.inprocess();
+        s.inprocess();
+        assert_eq!(s.stats().inprocess_rounds, 3);
     }
 
     #[test]

@@ -171,6 +171,10 @@ pub struct Solver {
     resource_exhausted: bool,
     /// Root-level inprocessing knobs (see [`SolverConfig`]).
     config: SolverConfig,
+    /// Live arena words left by the last [`Solver::maybe_inprocess`] pass
+    /// (`None` before the first one): the baseline its growth trigger
+    /// measures against.
+    inprocess_base_words: Option<usize>,
 }
 
 impl Solver {
@@ -207,6 +211,7 @@ impl Solver {
             has_limits: false,
             resource_exhausted: false,
             config: SolverConfig::default(),
+            inprocess_base_words: None,
         };
         s.grow_to(num_vars);
         s

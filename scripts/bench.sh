@@ -28,6 +28,10 @@
 #                    streams: sparse growth regime at 1k–10k inserts, a
 #                    dense absorption regime and a full-support minterm
 #                    regime, with the index work counters).
+#   BENCH_R14.json — session-inprocessing sweep (deep backward fixed points
+#                    with inprocessing on, scheduled on clause-DB growth,
+#                    and off: wall-clock, inprocess rounds, arena peak and
+#                    step time by depth quarter).
 #
 # All binaries assert result equality between the compared configurations
 # before timing anything, so a successful run is also a determinism check.
@@ -45,10 +49,11 @@ cargo build --release --offline -p presat-bench
 ./target/release/chrono_db_flatness BENCH_PR6.json
 ./target/release/cube_balance BENCH_PR8.json
 ./target/release/cubeset_scaling BENCH_PR10.json
+./target/release/reach_inprocess BENCH_R14.json
 
 # Show how the checked-in numbers moved (informational; timings drift with
 # hardware, the structure should not).
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
-  git --no-pager diff --stat -- BENCH_PR2.json BENCH_PR3.json BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR8.json BENCH_PR10.json || true
+  git --no-pager diff --stat -- BENCH_PR2.json BENCH_PR3.json BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR8.json BENCH_PR10.json BENCH_R14.json || true
 fi
 echo "bench: OK"

@@ -136,6 +136,24 @@ if ! printf '%s\n' "$adaptive_out" | grep -q '"complete":true'; then
   exit 1
 fi
 
+# Inprocessing-schedule gate on the same LFSR: a session inprocesses once
+# its live clause DB has doubled since the previous pass, not at every
+# retirement, so over the 63-iteration fixed point the rounds stay well
+# below one per two iterations (one pass per retirement ran 116). A work
+# counter gate, deterministic where wall clock is not.
+schedule_out="$(timeout 60 ./target/release/presat reach "$smoke_dir/lfsr6.bench" \
+  --target 1 --stats | grep '^{')"
+schedule_counter() {
+  printf '%s\n' "$schedule_out" | sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"
+}
+if ! awk -v rounds="$(schedule_counter inprocess_rounds)" \
+    -v iters="$(schedule_counter iterations)" \
+    'BEGIN { exit !(iters > 0 && rounds > 0 && 2 * rounds < iters) }'; then
+  echo "verify: FAIL — lfsr6 reach inprocess_rounds not below iterations / 2" >&2
+  printf '%s\n' "$schedule_out" >&2
+  exit 1
+fi
+
 # Propagation-throughput smoke: the bench binary cross-checks the flat
 # arena against a replica of the pre-arena clause store probe-by-probe,
 # so one cheap sample doubles as a layout-equivalence test. The binary

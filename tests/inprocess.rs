@@ -108,8 +108,8 @@ fn inprocessing_preserves_models_on_random_cnfs_vs_bdd_oracle() {
     }
 }
 
-/// Repeated inprocessing (the session pattern: a pass after every
-/// retirement) must stay sound — later passes see the strengthened
+/// Repeated inprocessing (the session pattern: passes at retirement
+/// boundaries) must stay sound — later passes see the strengthened
 /// formula, not the original, and still may not lose or invent models.
 #[test]
 fn repeated_inprocessing_rounds_stay_equivalent() {
@@ -137,8 +137,9 @@ fn repeated_inprocessing_rounds_stay_equivalent() {
 
 /// One backward-reachability fixed point per circuit family, inprocessing
 /// on vs. off and against the exhaustive-simulation oracle. Inprocessing
-/// runs at every retirement boundary inside the incremental session, so a
-/// deep fixed point exercises it dozens of times per circuit.
+/// runs at the incremental session's retirement boundaries whenever the
+/// clause DB has doubled since the previous pass, so a deep fixed point
+/// exercises it several times per circuit.
 fn assert_family_reach_invariant(circuit: &Circuit, target: &StateSet) {
     let n = circuit.num_latches();
     let expect = oracle::backward_reachable_bits(circuit, target);
@@ -223,8 +224,8 @@ fn embedded_benchmarks_preserve_reachability_under_inprocessing() {
     assert_family_reach_invariant(&ctl2, &StateSet::from_state_bits(0, n));
 }
 
-/// Mid-session round trip: enumerate → retire (inprocessing fires) →
-/// enumerate, ten rounds deep, with the inprocessing-on session compared
+/// Mid-session round trip: enumerate → retire (inprocessing fires on
+/// the growth schedule) → enumerate, ten rounds deep, with the inprocessing-on session compared
 /// against an inprocessing-off twin *and* against the BDD projection of
 /// an equivalent monolithic formula every round.
 fn mid_session_round_trip(jobs: usize) {
@@ -308,6 +309,38 @@ fn mid_session_round_trip_at_jobs_1() {
 #[test]
 fn mid_session_round_trip_at_jobs_4() {
     mid_session_round_trip(4);
+}
+
+/// Session inprocessing is scheduled on clause-DB growth, not run at
+/// every retirement: over the 256-iteration fixed point of an 8-bit Gray
+/// counter the live DB doubles at most ⌈log₂ 256⌉ + 1 times, and a pass
+/// runs at most two rounds, so the session may spend no more than 18
+/// rounds — where one pass per retirement spent hundreds. The reached set
+/// must still equal the inprocessing-off run.
+#[test]
+fn session_inprocessing_is_scheduled_on_clause_db_growth() {
+    let circuit = generators::gray_counter(8);
+    let target = StateSet::from_state_bits(0, 8);
+    let run = |inprocess: bool| {
+        backward_reach(
+            &SatPreimage::success_driven(),
+            &circuit,
+            &target,
+            ReachOptions::default().with_inprocess(inprocess),
+        )
+    };
+    let on = run(true);
+    let off = run(false);
+    assert!(on.converged);
+    assert_eq!(on.reached_states, 256);
+    assert_eq!(on.reached.cubes(), off.reached.cubes());
+    let rounds = on.stats.allsat.sat.inprocess_rounds;
+    assert!(
+        (1..=18).contains(&rounds),
+        "{rounds} inprocess rounds over {} iterations",
+        on.iterations.len()
+    );
+    assert_eq!(off.stats.allsat.sat.inprocess_rounds, 0);
 }
 
 /// Env-parameterized oracle check: the whole-fixed-point comparison runs
